@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
-"""Benchmark — AsyncCalibrator vs BatchCalibrator vs the serial driver.
+"""Benchmark — AsyncCalibrator vs the serial driver.
 
-The batch driver runs lock-step: every ``workers``-wide batch waits for
-its slowest evaluation.  Real simulator invocations have heavy-tailed
-wall-clock (the paper's own speed/accuracy numbers vary by orders of
-magnitude across the parameter space), so the pool idles most of the
-time.  The asynchronous driver asks speculatively whenever a worker
-frees up and tells results out of order, which should recover that idle
-time.  This benchmark runs the hepsim case-study objective under an
-equal evaluation budget three ways — serial / batched / async — with a
-deterministic heavy-tailed (Pareto) latency model on every simulator
-invocation, and checks that
+Real simulator invocations have heavy-tailed wall-clock (the paper's own
+speed/accuracy numbers vary by orders of magnitude across the parameter
+space), so a lock-step pool, in which every ``workers``-wide batch waits
+for its slowest evaluation, idles most of the time.  The asynchronous
+driver asks speculatively whenever a worker frees up and tells results
+out of order, which keeps the pool busy.  This benchmark runs the hepsim
+case-study objective under an equal evaluation budget two ways — serial
+/ async — with a deterministic heavy-tailed (Pareto) latency model on
+every simulator invocation, and checks that
 
-* all three drivers perform exactly the evaluation budget,
+* both drivers perform exactly the evaluation budget,
 * the async driver visits exactly the serial point set (same points and
   values; completion order may differ for async-native samplers), and —
   run with ``--ordered`` — reproduces the serial trajectory byte for
   byte through the buffering adapter,
-* the async run beats the batched run by >= 1.3x wall-clock at 4 workers
+* the async run beats the serial run by >= 2x wall-clock at 4 workers
   (skipped on machines with fewer than 2 usable cores unless latency is
   simulated, where sleeps overlap regardless of cores).
 
@@ -44,7 +43,6 @@ if str(_SRC) not in sys.path:
 
 from repro.core import (  # noqa: E402
     AsyncCalibrator,
-    BatchCalibrator,
     Calibrator,
     EvaluationBudget,
 )
@@ -93,8 +91,8 @@ class HeavyTailLatencyObjective:
 
     Models the paper's external simulators: most invocations are quick,
     a few are very slow (Pareto-distributed factor over the median).  The
-    sleep is keyed on the candidate, so serial, batched and async runs of
-    the same trajectory pay identical per-point costs and wall-clock
+    sleep is keyed on the candidate, so serial and async runs of the same
+    trajectory pay identical per-point costs and wall-clock
     differences are pure scheduling.
     """
 
@@ -147,13 +145,6 @@ def main(argv=None) -> int:
     serial_elapsed = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batched = BatchCalibrator(
-        problem.space, objective, algorithm=args.algorithm,
-        budget=budget(), seed=args.seed, workers=workers, mode=mode,
-    ).run()
-    batched_elapsed = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     asynchronous = AsyncCalibrator(
         problem.space, objective, algorithm=args.algorithm,
         budget=budget(), seed=args.seed, workers=workers, mode=mode,
@@ -162,24 +153,19 @@ def main(argv=None) -> int:
     async_elapsed = time.perf_counter() - t0
 
     speedup_serial = serial_elapsed / async_elapsed if async_elapsed else float("inf")
-    speedup_batch = batched_elapsed / async_elapsed if async_elapsed else float("inf")
-    console(f"AsyncCalibrator vs BatchCalibrator vs serial — {args.algorithm} on "
+    console(f"AsyncCalibrator vs serial — {args.algorithm} on "
           f"{args.platform}/{scale}, N = {evaluations}, heavy-tailed latency "
           f"median {latency_ms:g} ms (tail index {args.tail:g})")
     console(f"  serial   : {serial.evaluations:4d} evaluations  "
           f"{serial_elapsed:7.2f} s   best {serial.best_value:.3f}")
-    console(f"  batched  : {batched.evaluations:4d} evaluations  "
-          f"{batched_elapsed:7.2f} s   best {batched.best_value:.3f}  "
-          f"({workers} workers, {mode})")
     console(f"  async    : {asynchronous.evaluations:4d} evaluations  "
           f"{async_elapsed:7.2f} s   best {asynchronous.best_value:.3f}  "
           f"({workers} workers, {mode}"
           + (", ordered adapter)" if args.ordered else ")"))
-    console(f"  speedup  : {speedup_batch:.2f}x over batched, "
-          f"{speedup_serial:.2f}x over serial")
+    console(f"  speedup  : {speedup_serial:.2f}x over serial")
 
     failures = []
-    for name, result in (("serial", serial), ("batched", batched), ("async", asynchronous)):
+    for name, result in (("serial", serial), ("async", asynchronous)):
         if result.evaluations != evaluations:
             failures.append(f"budget mismatch: {name} performed {result.evaluations} "
                             f"of {evaluations} evaluations")
@@ -198,10 +184,10 @@ def main(argv=None) -> int:
         log.warning("  NOTE: only %s usable core(s) and no simulated latency — "
                     "the timing gate is skipped; rerun with --latency 40 (or on "
                     "a multicore machine)", cores)
-    if not args.smoke and can_time and async_elapsed > batched_elapsed / 1.3:
+    if not args.smoke and can_time and async_elapsed > serial_elapsed / 2.0:
         failures.append(
-            f"speedup too low: async {async_elapsed:.2f}s > batched "
-            f"{batched_elapsed:.2f}s / 1.3"
+            f"speedup too low: async {async_elapsed:.2f}s > serial "
+            f"{serial_elapsed:.2f}s / 2"
         )
     for failure in failures:
         console(f"  FAIL: {failure}")

@@ -6,8 +6,8 @@ candidates, evaluate them however you like, ``tell`` the results back.
 This example drives algorithms without any Calibrator at all:
 
 1. a minimal serial loop (what ``Calibrator.run()`` does internally);
-2. a batched loop evaluating a whole CMA-ES generation per round (what
-   ``BatchCalibrator`` does with a process pool);
+2. a batched loop evaluating a whole CMA-ES generation per round (the
+   shape a process pool or a cluster consumes);
 3. checkpoint/resume: snapshot the search mid-run with ``state_dict()``,
    rebuild a fresh instance and finish the identical trajectory.
 
@@ -60,11 +60,11 @@ def serial_loop() -> None:
 
 
 def batched_loop() -> None:
-    """Whole CMA-ES generations per round — the BatchCalibrator shape.
+    """Whole CMA-ES generations per round.
 
     ``ask(rng, n)`` treats ``n`` as capacity: asking for a big batch
     drains the whole pending generation, which a real driver hands to a
-    process pool (``repro.core.parallel.BatchCalibrator``) or a cluster.
+    process pool or a cluster.
     """
     space, objective = make_problem()
     # get_algorithm forwards constructor kwargs — no manual import needed.

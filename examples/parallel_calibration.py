@@ -3,10 +3,10 @@
 
 In the paper "each algorithm executes one simulation on each core of a
 dedicated ... 40-core CPU".  This example shows the same protocol with the
-:class:`~repro.core.parallel.ParallelCalibrator`: batches of candidate
-calibrations drawn from a space-filling design are evaluated concurrently
-in worker processes, and the number of evaluations that fit into a fixed
-wall-clock budget grows with the worker count.
+:class:`~repro.core.async_driver.AsyncCalibrator`: candidate calibrations
+drawn from a space-filling design are evaluated concurrently in worker
+processes, and the number of evaluations that fit into a fixed wall-clock
+budget grows with the worker count.
 
 Run it with:  python examples/parallel_calibration.py [--seconds 10 --workers 1 2 4]
 """
@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import ParallelCalibrator, TimeBudget
+from repro.core import AsyncCalibrator, TimeBudget
 from repro.hepsim import CaseStudyProblem, GroundTruthGenerator, Scenario
 from repro.hepsim.scenario import REDUCED_ICD_VALUES
 
@@ -29,7 +29,7 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, default=10.0,
                         help="wall-clock budget per run")
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
-    parser.add_argument("--sampler", default="lhs", choices=("uniform", "lhs", "sobol", "halton"))
+    parser.add_argument("--sampler", default="lhs", choices=("random", "lhs", "sobol"))
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
@@ -41,10 +41,10 @@ def main() -> None:
 
     print(f"{'workers':>7s} {'evaluations':>12s} {'best MRE':>10s} {'elapsed':>9s}")
     for workers in args.workers:
-        calibrator = ParallelCalibrator(
+        calibrator = AsyncCalibrator(
             problem.space,
             problem.objective,          # picklable CaseStudyObjective
-            sampler=args.sampler,
+            algorithm=args.sampler,
             workers=workers,
             mode="process" if workers > 1 else "serial",
             budget=TimeBudget(args.seconds),

@@ -42,8 +42,8 @@ from repro.analysis.experiments import (
     _make_problem,
 )
 from repro.analysis.tables import ExperimentResult
+from repro.core.async_driver import AsyncCalibrator
 from repro.core.budget import EvaluationBudget, TimeBudget
-from repro.core.parallel import ParallelCalibrator
 from repro.hepsim.calibration import CaseStudyProblem
 from repro.hepsim.generalization import generalization_study
 from repro.hepsim.groundtruth import GroundTruthGenerator, ReferenceSystemConfig
@@ -235,9 +235,11 @@ def parallel_scaling_experiment(
 
     More workers evaluate more candidates within the same time bound ``T``,
     which is the mechanism by which the paper's protocol benefits from its
-    40-core node.  ``mode`` defaults to ``"process"`` (one simulator per
-    worker process) and can be forced to ``"serial"`` via the
-    ``REPRO_BENCH_SERIAL`` environment variable for constrained CI runs.
+    40-core node.  ``sampler`` names the design algorithm every run uses
+    (``"lhs"``, ``"sobol"`` or ``"random"``).  ``mode`` defaults to
+    ``"process"`` (one simulator per worker process) and can be forced to
+    ``"serial"`` via the ``REPRO_BENCH_SERIAL`` environment variable for
+    constrained CI runs.
     """
     budget_seconds = budget_seconds or default_time_budget()
     generator = generator or GroundTruthGenerator()
@@ -248,10 +250,10 @@ def parallel_scaling_experiment(
     rows = []
     detail: dict[str, dict[str, float]] = {}
     for workers in worker_counts:
-        calibrator = ParallelCalibrator(
+        calibrator = AsyncCalibrator(
             problem.space,
             problem.objective,
-            sampler=sampler,
+            algorithm=sampler,
             workers=workers,
             mode=mode if workers > 1 else "serial",
             budget=TimeBudget(budget_seconds),

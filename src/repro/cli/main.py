@@ -122,8 +122,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     try:
         result = problem.calibrate(
             algorithm=args.algorithm, budget=_budget(args), seed=args.seed,
-            workers=args.workers, asynchronous=args.use_async,
-            max_pending=args.max_pending, cache=cache,
+            workers=args.workers, max_pending=args.max_pending, cache=cache,
             retry_policy=retry_policy, failure_policy=failure_policy,
             eval_timeout=args.eval_timeout,
         )
@@ -133,12 +132,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             tracer.close()
     values = problem.calibrated_values(result)
 
-    if args.use_async:
-        driver_note = f" (async, {args.workers} workers)"
-    elif args.workers > 1:
-        driver_note = f" (batched, {args.workers} workers)"
-    else:
-        driver_note = ""
+    driver_note = f" (async, {args.workers} workers)" if args.workers > 1 else ""
     console(f"platform           : {args.platform} ({scenario.config.description})")
     console(f"algorithm          : {result.algorithm}{driver_note}")
     console(f"budget             : {result.budget_description}")
@@ -699,12 +693,11 @@ calibration service:
   --resume` continues a killed job from its last snapshot — finishing
   with the same best point as an uninterrupted run — instead of
   replaying it.  The same protocol powers `repro calibrate --workers K`,
-  which evaluates each algorithm's candidate batches over K processes
-  (one simulation per core, the paper's parallel protocol); adding
-  `--async` switches to the asynchronous driver, which asks speculatively
-  whenever a worker frees up and tells results out of order as they
-  complete — under skewed simulation times the pool never idles waiting
-  for a batch's slowest member (`--max-pending N` bounds in-flight work).
+  which evaluates candidates over K processes (one simulation per core,
+  the paper's parallel protocol) through the asynchronous driver: it asks
+  whenever a worker frees up and tells results as they complete, so under
+  skewed simulation times the pool never idles waiting for a batch's
+  slowest member (`--max-pending N` bounds in-flight work).
 """
 
 
@@ -741,17 +734,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--evaluations", type=int, default=200, help="evaluation budget")
     p_cal.add_argument("--seconds", type=float, default=None, help="time budget (overrides --evaluations)")
     p_cal.add_argument("--workers", type=int, default=1,
-                       help="evaluate the algorithm's ask batches over this many "
-                            "processes (1 = the paper's serial loop)")
-    p_cal.add_argument("--async", dest="use_async", action="store_true",
-                       help="asynchronous out-of-order driving: ask speculatively "
-                            "whenever a worker frees up and tell results as they "
-                            "complete, instead of waiting for each batch's slowest "
-                            "simulation (random/sobol/lhs/tpe consume results "
-                            "natively; other algorithms are buffered back into "
-                            "ask order and reproduce the serial trajectory)")
+                       help="evaluate candidates over this many processes "
+                            "(1 = the paper's serial loop); with more, the "
+                            "asynchronous driver asks whenever a worker frees up "
+                            "and tells results as they complete (ordered "
+                            "algorithms and design samplers reproduce the serial "
+                            "trajectory; TPE follows completion order)")
     p_cal.add_argument("--max-pending", type=int, default=None, metavar="N",
-                       help="with --async, bound on in-flight simulations "
+                       help="with --workers > 1, bound on in-flight simulations "
                             "(default: --workers)")
     p_cal.add_argument("--compare", action="store_true", help="also score the HUMAN and true calibrations")
     p_cal.add_argument("--report", action="store_true", help="print a convergence report")

@@ -60,7 +60,6 @@ from repro.core.faults import (
     CircuitOpen,
     EvaluationFailed,
     EvaluationFailure,
-    EvaluationOutcome,
     EvaluationTimeout,
     FailurePolicy,
     RetryPolicy,
@@ -74,7 +73,7 @@ from repro.core.metrics import (
     root_mean_squared_error,
 )
 from repro.core.async_driver import AsyncCalibrator, OrderedTellAdapter
-from repro.core.parallel import BatchCalibrator, ParallelCalibrator, ParallelEvaluator
+from repro.core.parallel import ParallelEvaluator
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.reporting import calibration_report, convergence_sparkline
 from repro.core.result import CalibrationResult
@@ -101,7 +100,6 @@ from repro.core.tradeoff import TradeoffPoint, dominated_fraction, knee_point, p
 __all__ = [
     "ALGORITHMS",
     "AsyncCalibrator",
-    "BatchCalibrator",
     "BayesianOptimization",
     "Budget",
     "BudgetExhausted",
@@ -122,7 +120,6 @@ __all__ = [
     "EvaluationBudget",
     "EvaluationFailed",
     "EvaluationFailure",
-    "EvaluationOutcome",
     "EvaluationTimeout",
     "FailurePolicy",
     "Fold",
@@ -134,7 +131,6 @@ __all__ = [
     "NoImprovementStopper",
     "Objective",
     "OrderedTellAdapter",
-    "ParallelCalibrator",
     "ParallelEvaluator",
     "Parameter",
     "ParameterSpace",

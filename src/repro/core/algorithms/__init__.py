@@ -6,7 +6,7 @@ Every algorithm speaks the batched ask/tell protocol of
 checkpoint-resume); the paper's blocking loop survives as the base-class
 serial driver, so seeded trajectories match the original implementations
 byte for byte while the same algorithms can be driven in parallel by
-:class:`~repro.core.parallel.BatchCalibrator`.
+:class:`~repro.core.async_driver.AsyncCalibrator`.
 
 The three algorithms evaluated in the paper (Section III.B):
 

@@ -9,7 +9,7 @@ objective is mostly driven by one bottleneck parameter at a time.
 
 Each ask/tell generation is one full Latin hypercube batch (the
 stratification only holds within a batch), which makes this a natural fit
-for the parallel batch driver.
+for the parallel driver.
 """
 
 from __future__ import annotations

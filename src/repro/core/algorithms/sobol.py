@@ -17,12 +17,14 @@ fast-forwards past the points already drawn.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy.stats import qmc
 
 from repro.core.algorithms.base import CalibrationAlgorithm, register
+
+if TYPE_CHECKING:
+    from scipy.stats import qmc
 
 __all__ = ["SobolSearch"]
 
@@ -53,6 +55,10 @@ class SobolSearch(CalibrationAlgorithm):
         self._seed_seq: dict[str, Any] | None = None
 
     def _ensure_sampler(self, rng: np.random.Generator) -> qmc.Sobol:
+        # scipy.stats costs about a second to import: pay it only when a
+        # Sobol run actually draws its first block.
+        from scipy.stats import qmc
+
         if self._sampler is None:
             if self._seed_seq is None:
                 # Fresh run: scramble from the driver's rng, exactly like

@@ -1,11 +1,12 @@
 """Asynchronous, out-of-order calibration driving.
 
-:class:`~repro.core.parallel.BatchCalibrator` runs lock-step generations:
-every ``k``-wide batch waits for its slowest evaluation before the next
-batch is dispatched, so with heavy-tailed simulator latencies — the
-paper's own speed/accuracy measurements show minutes-scale, highly
-variable invocation times — most workers sit idle most of the time.
-:class:`AsyncCalibrator` removes that barrier:
+A lock-step driver, in which every ``k``-wide batch waits for its
+slowest evaluation before the next batch is dispatched, leaves most
+workers idle under heavy-tailed simulator latencies — the paper's own
+speed/accuracy measurements show minutes-scale, highly variable
+invocation times.  :class:`AsyncCalibrator` is the package's one parallel
+driver, and has no such barrier (batch dispatch is the special case of
+asynchronous dispatch with a barrier):
 
 * it **asks speculatively** whenever a worker frees up, keeping up to
   ``max_pending`` candidates in flight at all times;
@@ -31,8 +32,8 @@ Algorithms participate at one of two levels:
 
 All algorithm interaction (ask/tell) happens on the driver thread — the
 pool only ever runs the objective function — so algorithms need no
-locking.  Process-based execution requires a picklable objective, exactly
-as for :class:`~repro.core.parallel.BatchCalibrator`.
+locking.  Process-based execution requires a picklable objective (see
+:mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
@@ -167,13 +168,27 @@ class AsyncCalibrator:
         exactly its cap even though results arrive out of order.
     seed:
         Seed for the algorithm's random number generator.
-    cache, record_cache_hits, count_cache_hits:
-        As for :class:`~repro.core.parallel.BatchCalibrator`, but through
-        the non-blocking claim/lease protocol: a candidate another driver
-        is currently computing is deferred — polled between completions,
-        taken over if the lease expires — instead of blocking the pool or
-        being recomputed.  Deferred candidates are charged one budget unit
-        like a dispatch (some driver is paying for the work now).
+    cache:
+        ``True`` (memoise in a fresh in-memory
+        :class:`~repro.core.evaluation.DictCache`), ``False`` (always
+        dispatch), or a shared :class:`~repro.core.evaluation.CacheBackend`
+        such as the service's store-backed cache.  Candidates answered by
+        the cache are not dispatched and, by default, do not consume
+        budget — the paper's "cache hits are free" semantics.  Lookups go
+        through the non-blocking claim/lease protocol: a candidate another
+        driver is currently computing is deferred — polled between
+        completions, taken over if the lease expires — instead of blocking
+        the pool or being recomputed.  Deferred candidates are charged one
+        budget unit like a dispatch (some driver is paying for the work
+        now).
+    record_cache_hits, count_cache_hits:
+        Same semantics as on :class:`~repro.core.evaluation.Objective`:
+        when recording, hits enter the history as zero-duration
+        ``cached=True`` records; when counting, *first-seen* hits — points
+        served from pre-existing shared-store work — charge the budget
+        while in-run revisits stay free.  Supply ``count_cache_hits=True``
+        whenever an evaluation-budget run uses a warm shared cache,
+        otherwise a fully-warm run would never exhaust its budget.
     ordered_tells:
         Force the :class:`OrderedTellAdapter` (``True``), force native
         out-of-order tells (``False`` — rejected if the algorithm cannot),
@@ -189,6 +204,14 @@ class AsyncCalibrator:
         evaluator (:class:`repro.service.fleet.FleetEvaluator`), which
         hands candidates to pull-based worker processes instead of a
         local pool.
+    retry_policy, failure_policy, eval_timeout:
+        The fault-tolerance knobs, with the same semantics as on
+        :class:`~repro.core.evaluation.Objective`: retries and
+        per-attempt timeouts run inside the pool workers; a failure
+        outcome becomes a penalty tell or a raise per ``failure_policy``,
+        and is quarantined through the cache backend so this run, resumed
+        runs and concurrent drivers skip the point.  All ``None`` (the
+        default) leaves every code path that of a fault-unaware run.
     """
 
     #: deferred-lease poll cadence while futures are also pending / not
@@ -235,7 +258,7 @@ class AsyncCalibrator:
             self.evaluator = evaluator
         else:
             self.evaluator = ParallelEvaluator(
-                objective_function, space, workers=workers, mode=mode, persistent=True,
+                objective_function, workers=workers, mode=mode,
                 eval_timeout=eval_timeout, retry_policy=retry_policy,
                 guard_failures=failure_policy is not None,
             )

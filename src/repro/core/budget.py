@@ -109,10 +109,10 @@ class CombinedBudget(Budget):
 def remaining_evaluations(budget: Budget, evaluations: int) -> int | None:
     """How many more evaluations ``budget`` allows, or ``None`` if unbounded.
 
-    Recurses into :class:`CombinedBudget`, so batch drivers can trim their
-    final batch to an evaluation cap even when it is wrapped together with
+    Recurses into :class:`CombinedBudget`, so a parallel driver stops
+    dispatching at an evaluation cap even when it is wrapped together with
     a time budget (a plain ``isinstance(budget, EvaluationBudget)`` check
-    would miss it and overshoot by up to a batch).  Time budgets impose no
+    would miss it and overshoot by the work in flight).  Time budgets impose no
     evaluation cap and contribute ``None``.
     """
     if isinstance(budget, EvaluationBudget):

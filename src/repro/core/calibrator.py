@@ -5,7 +5,7 @@ A :class:`Calibrator` owns one calibration run: it builds the budget-aware
 drives it through the ask/tell protocol of
 :class:`~repro.core.algorithms.CalibrationAlgorithm` — one candidate at a
 time, which reproduces the paper's blocking loops exactly (the parallel
-counterpart is :class:`~repro.core.parallel.BatchCalibrator`).
+counterpart is :class:`~repro.core.async_driver.AsyncCalibrator`).
 
 Typical use (this is what :mod:`repro.hepsim.calibration` does for the
 case study):

@@ -85,7 +85,7 @@ def unit_cache_key(unit: np.ndarray, decimals: int) -> CacheKey:
     """The canonical cache key for a unit-cube point.
 
     Every component that shares a cache (the serial :class:`Objective`,
-    the batched driver, the service's store adapter) must build keys
+    the asynchronous driver, the service's store adapter) must build keys
     through this one function, or entries written by one stop matching
     lookups from another.
     """
@@ -151,7 +151,7 @@ class CacheBackend:
       completed (the simulator raised, or the budget ran out), so such
       backends can release their waiters.
     * ``claim``/``poll`` is the *non-blocking* protocol spoken by the
-      batch and asynchronous drivers, which hold many candidates in
+      asynchronous driver, which holds many candidates in
       flight at once and must never sleep inside a cache call: ``claim``
       returns immediately with a :class:`Claim` (hit / claimed / leased)
       and ``poll`` checks, without claiming anything, whether a point
@@ -198,8 +198,8 @@ class CacheBackend:
         without cross-driver visibility simply hand the computation to the
         caller on a miss.  It delegates to :meth:`get` — a backend whose
         ``get`` may block (single-flight waiting) MUST override ``claim``
-        with a genuinely non-blocking implementation, or batch/async
-        drivers holding several candidates in flight can deadlock against
+        with a genuinely non-blocking implementation, or async drivers
+        holding several candidates in flight can deadlock against
         each other (:class:`repro.service.cache.StoreBackedCache` is the
         reference implementation).
         """

@@ -1,14 +1,14 @@
-"""Fault-tolerant evaluation: outcomes, retries, timeouts, circuit breaking.
+"""Fault-tolerant evaluation: failures, retries, timeouts, circuit breaking.
 
 The paper's calibration loop assumes every simulator invocation returns a
 value; an operated system cannot.  This module makes evaluation failure a
 first-class, *recorded* outcome instead of a job-killing exception:
 
-* :class:`EvaluationFailure` / :class:`EvaluationOutcome` — the data form
-  of "this point failed": error text, a transient/deterministic/timeout
-  classification, and how many attempts were burned.  Failures travel
-  through worker-pool futures as :class:`EvaluationFailed` (picklable),
-  so one bad candidate never aborts its batch-mates.
+* :class:`EvaluationFailure` — the data form of "this point failed":
+  error text, a transient/deterministic/timeout classification, and how
+  many attempts were burned.  Failures travel through worker-pool
+  futures as :class:`EvaluationFailed` (picklable), so one bad candidate
+  never aborts the evaluations in flight beside it.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff whose
   jitter is *seeded-deterministic* (derived from the candidate's
   canonical parameters, not from process-global randomness), so a
@@ -51,7 +51,6 @@ __all__ = [
     "CircuitOpen",
     "EvaluationFailed",
     "EvaluationFailure",
-    "EvaluationOutcome",
     "EvaluationTimeout",
     "FailurePolicy",
     "RetryPolicy",
@@ -151,36 +150,6 @@ class EvaluationFailed(Exception):
 
     def __reduce__(self) -> tuple[type[EvaluationFailed], tuple[EvaluationFailure]]:
         return (EvaluationFailed, (self.failure,))
-
-
-@dataclasses.dataclass(frozen=True)
-class EvaluationOutcome:
-    """One evaluation's result: a value *or* a failure, never both."""
-
-    value: float | None = None
-    failure: EvaluationFailure | None = None
-    duration: float = 0.0
-    retries: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-    def unwrap(self) -> float:
-        """The value; raises :class:`EvaluationFailed` for a failure."""
-        if self.failure is not None:
-            raise EvaluationFailed(self.failure)
-        if self.value is None:
-            raise EvaluationFailed(EvaluationFailure("evaluation produced no value"))
-        return self.value
-
-    @staticmethod
-    def success(value: float, duration: float = 0.0, retries: int = 0) -> EvaluationOutcome:
-        return EvaluationOutcome(value=value, duration=duration, retries=retries)
-
-    @staticmethod
-    def failed(failure: EvaluationFailure) -> EvaluationOutcome:
-        return EvaluationOutcome(failure=failure, duration=failure.elapsed)
 
 
 def point_token(values: Mapping[str, float]) -> str:

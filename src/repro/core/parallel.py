@@ -3,24 +3,11 @@
 In the paper's experimental protocol "each algorithm executes one
 simulation on each core of a dedicated 2.5 GHz Intel Xeon Gold 6248
 40-core CPU": candidate parameter sets are evaluated concurrently, one
-simulator invocation per core.  This module provides that capability for
-the batch-style algorithms (random, Latin hypercube, Sobol and grid
-designs are embarrassingly parallel):
-
-* :class:`ParallelEvaluator` — evaluates a batch of parameter-value
-  dictionaries with a process pool (or a thread pool, or serially) and
-  records every evaluation in a :class:`~repro.core.history.CalibrationHistory`;
-* :class:`BatchCalibrator` — drives *any* ask/tell
-  :class:`~repro.core.algorithms.CalibrationAlgorithm` through a
-  :class:`ParallelEvaluator` with ``k``-wide asks: population algorithms
-  (DE, CMA-ES, Sobol/LHS/grid/random designs) surface whole generations
-  that are evaluated ``workers`` at a time, optionally answering
-  candidates from a shared evaluation cache before dispatching them;
-* :class:`ParallelCalibrator` — the simpler space-filling special case:
-  repeatedly draws sampling batches, evaluates them in parallel and stops
-  when the budget is exhausted, returning the same
-  :class:`~repro.core.result.CalibrationResult` as the sequential
-  :class:`~repro.core.calibrator.Calibrator`.
+simulator invocation per core.  :class:`ParallelEvaluator` is that pool:
+it hands one candidate at a time to a process pool (or a thread pool, or
+runs it inline) and returns a future of its value and worker-measured
+duration.  :class:`~repro.core.async_driver.AsyncCalibrator` drives any
+ask/tell algorithm through it.
 
 Process-based execution requires the objective function to be picklable —
 a plain function, or a callable object such as the case study's
@@ -34,41 +21,15 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
-import numpy as np
-
-from repro.core.algorithms import CalibrationAlgorithm, get_algorithm
-from repro.core.budget import Budget, EvaluationBudget, remaining_evaluations
-from repro.core.evaluation import (
-    CacheBackend,
-    CacheKey,
-    Claim,
-    DictCache,
-    Objective,
-    lease_deadline,
-    unit_cache_key,
-)
-from repro.core.faults import (
-    EVAL_METRIC_HELP,
-    CircuitBreaker,
-    EvaluationFailed,
-    EvaluationFailure,
-    EvaluationOutcome,
-    FailurePolicy,
-    RetryPolicy,
-    run_guarded,
-)
-from repro.core.history import CalibrationHistory, Evaluation
-from repro.core.parameters import ParameterSpace
-from repro.core.result import CalibrationResult
-from repro.core.sampling import get_sampler
+from repro.core.faults import EVAL_METRIC_HELP, RetryPolicy, run_guarded
+from repro.core.history import CalibrationHistory
 from repro.telemetry.metrics import registry as _metrics_registry
-from repro.telemetry.tracing import Span, current_tracer
 
 _REGISTRY = _metrics_registry()
 
-__all__ = ["ParallelEvaluator", "BatchCalibrator", "ParallelCalibrator"]
+__all__ = ["ParallelEvaluator"]
 
 ObjectiveFunction = Callable[[dict[str, float]], float]
 Outcome = tuple[float, float]  # (objective value, worker-measured duration)
@@ -113,15 +74,18 @@ def _guarded_timed_call(
 
 
 class ParallelEvaluator:
-    """Evaluates batches of candidate calibrations concurrently."""
+    """Evaluates candidate calibrations concurrently, one future each.
+
+    The pool is started by the first :meth:`submit` and kept alive until
+    :meth:`close`, so a driver dispatching one candidate at a time never
+    pays a pool startup per evaluation.
+    """
 
     def __init__(
         self,
         function: ObjectiveFunction,
-        space: ParameterSpace,
         workers: int = 4,
         mode: str = "process",
-        persistent: bool = False,
         eval_timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
         guard_failures: bool = False,
@@ -131,13 +95,8 @@ class ParallelEvaluator:
         if mode not in ("process", "thread", "serial"):
             raise ValueError(f"unknown execution mode {mode!r}")
         self.function = function
-        self.space = space
         self.workers = int(workers)
         self.mode = mode
-        #: keep the pool alive across batches — essential when a driver
-        #: dispatches many small batches (pool startup would otherwise
-        #: dominate); the owner must call :meth:`close` when finished
-        self.persistent = bool(persistent)
         #: per-attempt wall-clock timeout and retry policy, applied inside
         #: the worker (see :func:`_guarded_timed_call`); when both are
         #: ``None`` every dispatch path is the original unguarded one —
@@ -179,7 +138,7 @@ class ParallelEvaluator:
         self._start_time = time.perf_counter() - elapsed_offset
 
     def close(self) -> None:
-        """Shut down a persistent pool (no-op otherwise)."""
+        """Shut down the pool (no-op before the first dispatch)."""
         if self._executor is not None:
             executor, self._executor = self._executor, None
             executor.shutdown(wait=True, cancel_futures=True)
@@ -216,18 +175,14 @@ class ParallelEvaluator:
     def submit(self, candidate: dict[str, float]) -> Future[Outcome]:
         """Dispatch one candidate to the pool and return its future.
 
-        This is the asynchronous driver's entry point: unlike
-        :meth:`evaluate_batch` it neither blocks nor records history (the
-        caller owns completion handling and decides the record order).
-        The future resolves to ``(value, duration)`` — the worker times
-        its own call, so the caller can attribute true per-point
-        wall-clock even though completions arrive out of order.
-        Requires a ``persistent`` evaluator, because the returned future
-        outlives this call; in ``"serial"`` mode the candidate is
-        evaluated inline and an already-completed future is returned.
+        This is the asynchronous driver's entry point: it neither blocks
+        nor records history (the caller owns completion handling and
+        decides the record order).  The future resolves to ``(value,
+        duration)`` — the worker times its own call, so the caller can
+        attribute true per-point wall-clock even though completions arrive
+        out of order.  In ``"serial"`` mode the candidate is evaluated
+        inline and an already-completed future is returned.
         """
-        if self.mode != "serial" and not self.persistent:
-            raise RuntimeError("submit() needs a persistent evaluator (persistent=True)")
         if self._executor is None:
             self._executor = self._make_executor()
         if self._executor is None:  # serial mode
@@ -285,767 +240,3 @@ class ParallelEvaluator:
                 "repro_eval_retries_total",
                 EVAL_METRIC_HELP["repro_eval_retries_total"],
             ).inc(retries)
-
-    def _record(
-        self, candidate: dict[str, float], value: float,
-        started_at: float, finished_at: float,
-    ) -> None:
-        self.history.record(
-            Evaluation(
-                index=len(self.history),
-                values=dict(candidate),
-                unit=tuple(float(u) for u in self.space.to_unit_array(candidate)),
-                value=value,
-                started_at=started_at,
-                finished_at=finished_at,
-            )
-        )
-
-    def evaluate_batch(self, batch: Sequence[dict[str, float]]) -> list[float]:
-        """Evaluate every candidate of ``batch`` and record the results.
-
-        The whole batch is submitted at once; results are recorded in
-        batch order (so histories remain deterministic regardless of
-        completion order), but each record carries its *own* wall-clock
-        interval: the worker times the call, a done-callback anchors the
-        completion to this evaluator's clock, and ``started_at`` is
-        derived as ``finished_at - duration``.  Reports built from the
-        history can therefore show time-to-quality per point instead of
-        smearing one interval across the whole batch.
-        """
-        if not batch:
-            return []
-        executor = self._executor if self._executor is not None else self._make_executor()
-        if executor is None:
-            values = []
-            for candidate in batch:
-                started_at = self.elapsed
-                value = self._serial_call(dict(candidate))
-                self._record(candidate, value, started_at, self.elapsed)
-                values.append(value)
-            return values
-        # Driver-clock completion times, keyed by batch index.  Callbacks
-        # fire on worker/executor threads; the per-key dict writes are
-        # atomic under the GIL and every key is written before the
-        # corresponding future.result() below returns.
-        done_at: dict[int, float] = {}
-        try:
-            futures = []
-            for i, candidate in enumerate(batch):
-                future = self._dispatch(executor, candidate)
-                future.add_done_callback(
-                    lambda _f, i=i: done_at.__setitem__(i, self.elapsed)
-                )
-                futures.append(future)
-            outcomes = [future.result() for future in futures]
-        except BaseException:
-            # Guaranteed shutdown: when the objective raises in a worker,
-            # cancel the not-yet-started candidates instead of letting the
-            # pool drain them (and never leak worker processes).
-            self._executor = None
-            executor.shutdown(wait=True, cancel_futures=True)
-            raise
-        if self.persistent:
-            self._executor = executor
-        else:
-            executor.shutdown(wait=True, cancel_futures=True)
-        values = []
-        for i, (candidate, outcome) in enumerate(zip(batch, outcomes, strict=True)):
-            value, duration = outcome[0], outcome[1]
-            if len(outcome) > 2:
-                self._note_retries(int(outcome[2]))
-            finished_at = done_at.get(i, self.elapsed)
-            self._record(candidate, value, max(finished_at - duration, 0.0), finished_at)
-            values.append(value)
-        return values
-
-    def _serial_call(self, candidate: dict[str, float]) -> float:
-        if self._guarded:
-            value, _duration, retries = _guarded_timed_call(
-                self.function, candidate, self.eval_timeout, self.retry_policy
-            )
-            self._note_retries(retries)
-            return value
-        return float(self.function(candidate))
-
-    def _dispatch(
-        self, executor: Executor, candidate: dict[str, float]
-    ) -> Future[tuple[float, ...]]:
-        """Submit one candidate, guarded when fault tolerance is on.  Both
-        wrappers report ``(value, duration, …)``, so callers unpack by
-        index."""
-        if self._guarded:
-            return executor.submit(
-                _guarded_timed_call,
-                self.function,
-                dict(candidate),
-                self.eval_timeout,
-                self.retry_policy,
-            )
-        return executor.submit(_timed_call, self.function, dict(candidate))
-
-    def evaluate_batch_outcomes(
-        self, batch: Sequence[dict[str, float]]
-    ) -> list[EvaluationOutcome]:
-        """Like :meth:`evaluate_batch`, but failure is a *result*, not an
-        exception: each candidate resolves to an
-        :class:`~repro.core.faults.EvaluationOutcome` carrying either the
-        value or the structured failure, so one poison point cannot abort
-        its batch-mates.  Only successful evaluations enter the history —
-        the driver owns failure records (penalty value, ``failed=True``).
-        Non-evaluation errors (a broken pool, ``KeyboardInterrupt``)
-        still shut the pool down and raise.
-        """
-        if not batch:
-            return []
-        executor = self._executor if self._executor is not None else self._make_executor()
-        if executor is None:
-            serial: list[EvaluationOutcome] = []
-            for candidate in batch:
-                started_at = self.elapsed
-                try:
-                    value = self._serial_call(dict(candidate))
-                except EvaluationFailed as error:
-                    serial.append(EvaluationOutcome.failed(error.failure))
-                    continue
-                finished_at = self.elapsed
-                self._record(candidate, value, started_at, finished_at)
-                serial.append(
-                    EvaluationOutcome.success(value, finished_at - started_at)
-                )
-            return serial
-        done_at: dict[int, float] = {}
-        results: list[EvaluationOutcome] = []
-        try:
-            futures = []
-            for i, candidate in enumerate(batch):
-                future = self._dispatch(executor, candidate)
-                future.add_done_callback(
-                    lambda _f, i=i: done_at.__setitem__(i, self.elapsed)
-                )
-                futures.append(future)
-            for i, (candidate, future) in enumerate(zip(batch, futures, strict=True)):
-                try:
-                    outcome = future.result()
-                except EvaluationFailed as error:
-                    results.append(EvaluationOutcome.failed(error.failure))
-                    continue
-                value, duration = outcome[0], outcome[1]
-                retries = int(outcome[2]) if len(outcome) > 2 else 0
-                self._note_retries(retries)
-                finished_at = done_at.get(i, self.elapsed)
-                self._record(candidate, value, max(finished_at - duration, 0.0), finished_at)
-                results.append(EvaluationOutcome.success(value, duration, retries))
-        except BaseException:
-            self._executor = None
-            executor.shutdown(wait=True, cancel_futures=True)
-            raise
-        if self.persistent:
-            self._executor = executor
-        else:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return results
-
-
-class BatchCalibrator:
-    """Budget-bounded parallel calibration of *any* ask/tell algorithm.
-
-    Where :class:`ParallelCalibrator` can only batch space-filling
-    samplers, this driver speaks the ask/tell protocol of
-    :class:`~repro.core.algorithms.CalibrationAlgorithm`: every iteration
-    asks the algorithm for up to ``batch_size`` candidates (population
-    algorithms surface whole generations, which are drained ``batch_size``
-    at a time), evaluates them concurrently and tells the results back.
-
-    Parameters
-    ----------
-    space, objective_function:
-        As for :class:`~repro.core.calibrator.Calibrator`; process-based
-        execution needs a picklable objective.
-    algorithm:
-        Registry name, or a configured instance; must implement the
-        native ask/tell hooks (all built-in algorithms do).
-    algorithm_options:
-        Constructor keyword arguments forwarded to
-        :func:`~repro.core.algorithms.get_algorithm` when ``algorithm``
-        is a name.
-    workers, mode:
-        Concurrency settings, see :class:`ParallelEvaluator`.
-    batch_size:
-        Candidates dispatched per evaluator round; defaults to
-        ``workers`` (the paper's one-simulation-per-core protocol).
-    budget:
-        Evaluation- or time-based budget (or a combination); evaluation
-        caps trim the final batch so the run never overshoots.
-    seed:
-        Seed for the algorithm's random number generator.
-    cache:
-        ``True`` (memoise in a fresh in-memory
-        :class:`~repro.core.evaluation.DictCache`), ``False`` (always
-        dispatch), or a shared :class:`~repro.core.evaluation.CacheBackend`
-        such as the service's store-backed cache.  Candidates answered by
-        the cache are *not* dispatched to the pool and, by default, do not
-        consume budget — the paper's "cache hits are free" semantics — so
-        a warm shared store lets each ask cost only its genuinely new
-        points.  Consultation goes through the backend's *non-blocking*
-        :meth:`~repro.core.evaluation.CacheBackend.claim` protocol: a
-        point a concurrent driver is already computing (``"leased"``) is
-        never recomputed — this driver dispatches the rest of its batch
-        first and only then waits for the leader's published value
-        (bounded by the lease TTL, after which the computation is taken
-        over), so in-flight work is deduplicated across drivers and
-        across processes without the deadlock a blocking hold-and-wait
-        backend would risk.  Leased points are charged one budget unit
-        like a dispatch.
-    record_cache_hits, count_cache_hits:
-        Same semantics as on :class:`~repro.core.evaluation.Objective`:
-        when recording, hits enter the history as zero-duration
-        ``cached=True`` records (hits of a batch are recorded before its
-        dispatched evaluations); when counting, *first-seen* hits — points
-        served from pre-existing shared-store work — charge the budget
-        while in-run revisits stay free.  Supply ``count_cache_hits=True``
-        whenever an evaluation-budget run uses a warm shared cache,
-        otherwise a fully-warm run would never exhaust its budget.
-    retry_policy, failure_policy, eval_timeout:
-        The fault-tolerance knobs, with the same semantics as on
-        :class:`~repro.core.evaluation.Objective`: retries and per-attempt
-        timeouts run inside the pool workers; once a point is a failure
-        outcome, ``failure_policy`` decides between a penalty tell (the
-        batch-mates and the rest of the run are unaffected) and a raise —
-        and quarantines the point through the cache backend so this run,
-        resumed runs and concurrent drivers skip it.  A claim that comes
-        back ``"quarantined"`` is resolved from the recorded failure
-        without dispatching, and a leased point whose leader quarantines
-        it is *not* waited out (the failure is observed directly).  All
-        ``None`` (the default) leaves every code path byte-identical to
-        the non-fault-tolerant driver.
-    """
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        objective_function: ObjectiveFunction,
-        algorithm: str | CalibrationAlgorithm = "random",
-        workers: int = 4,
-        mode: str = "process",
-        batch_size: int | None = None,
-        budget: Budget | None = None,
-        seed: int = 0,
-        cache: bool | CacheBackend = True,
-        algorithm_options: dict[str, object] | None = None,
-        record_cache_hits: bool = False,
-        count_cache_hits: bool = False,
-        retry_policy: RetryPolicy | None = None,
-        failure_policy: FailurePolicy | None = None,
-        eval_timeout: float | None = None,
-    ) -> None:
-        self.space = space
-        self.algorithm = get_algorithm(algorithm, **(algorithm_options or {}))
-        if not self.algorithm.is_ask_tell:
-            raise ValueError(
-                f"algorithm {self.algorithm.name!r} does not implement the ask/tell "
-                "protocol (legacy run()-only algorithms cannot be batched)"
-            )
-        # The pool persists across asks: sequential algorithms dispatch many
-        # small batches and must not pay a pool startup for each.
-        self.evaluator = ParallelEvaluator(
-            objective_function, space, workers=workers, mode=mode, persistent=True,
-            eval_timeout=eval_timeout, retry_policy=retry_policy,
-            guard_failures=failure_policy is not None,
-        )
-        self.retry_policy = retry_policy
-        self.failure_policy = failure_policy
-        self.eval_timeout = eval_timeout
-        self._breaker: CircuitBreaker | None = None
-        self.failures = 0
-        self.batch_size = int(workers) if batch_size is None else int(batch_size)
-        if self.batch_size < 1:
-            raise ValueError("the batch size must be at least 1")
-        self.budget = budget if budget is not None else EvaluationBudget(100)
-        self.seed = seed
-        if isinstance(cache, CacheBackend):
-            self._cache: CacheBackend | None = cache
-        elif cache:
-            self._cache = DictCache()
-        else:
-            self._cache = None
-        self.record_cache_hits = bool(record_cache_hits)
-        self.count_cache_hits = bool(count_cache_hits)
-        self.cache_hits = 0
-
-    def _claim(self, key: CacheKey, values: dict[str, float]) -> Claim:
-        """Non-blocking cache claim (``"claimed"`` when caching is off)."""
-        if self._cache is None:
-            return Claim(Claim.CLAIMED)
-        return self._cache.claim(key, values)
-
-    def _store(self, key: CacheKey, values: dict[str, float], value: float) -> None:
-        if self._cache is not None:
-            self._cache.put(key, values, value)
-
-    def _cancel(self, key: CacheKey, values: dict[str, float]) -> None:
-        if self._cache is not None:
-            self._cache.cancel(key, values)
-
-    def _collect_leased(
-        self, key: CacheKey, values: dict[str, float], expires_at: float | None
-    ) -> float:
-        """Wait (bounded) for a point a concurrent driver is computing.
-
-        Polls for the leader's published value; if the lease expires
-        unpublished (the leader died or cancelled), this run claims the
-        point and computes it itself — so the wait can never exceed the
-        lease TTL plus one evaluation.
-        """
-        expires_at = lease_deadline(expires_at)
-        while True:
-            value = self._cache.poll(key, values)
-            if value is not None:
-                self.cache_hits += 1
-                if self.record_cache_hits:
-                    self._record_hit(values, value)
-                return value
-            if self.failure_policy is not None:
-                # The leader may have *quarantined* the point instead of
-                # publishing a value: its lease is released on failure, so
-                # waiting it out would spin until TTL — check directly.
-                known = self._cache.get_failure(key, values)
-                if known is not None:
-                    return self._apply_failure(key, values, known, quarantined=True)
-            if time.time() >= expires_at:
-                claim = self._cache.claim(key, values)
-                if claim.status == Claim.HIT:
-                    continue  # published between poll and claim
-                if claim.status == Claim.QUARANTINED and claim.failure is not None:
-                    return self._apply_failure(
-                        key, values, claim.failure, quarantined=True
-                    )
-                if claim.status == Claim.CLAIMED:
-                    # Takeover: the budget charge was already paid when the
-                    # point was deferred; just compute and publish it.
-                    try:
-                        if self.failure_policy is not None:
-                            outcome = self.evaluator.evaluate_batch_outcomes([values])[0]
-                            if outcome.failure is not None:
-                                return self._apply_failure(
-                                    key, values, outcome.failure,
-                                    quarantined=False, duration=outcome.duration,
-                                )
-                            value = outcome.unwrap()
-                        else:
-                            value = self.evaluator.evaluate_batch([values])[0]
-                    except BaseException:
-                        self._cancel(key, values)
-                        raise
-                    self._store(key, values, value)
-                    return value
-                expires_at = lease_deadline(claim.expires_at)
-            else:
-                time.sleep(0.005)
-
-    def _record_failed(
-        self, mapping: dict[str, float], value: float,
-        started_at: float, finished_at: float,
-    ) -> None:
-        history = self.evaluator.history
-        history.record(
-            Evaluation(
-                index=len(history), values=dict(mapping),
-                unit=tuple(float(u) for u in self.space.to_unit_array(mapping)),
-                value=value, started_at=started_at, finished_at=finished_at,
-                failed=True,
-            )
-        )
-
-    def _apply_failure(
-        self,
-        key: CacheKey,
-        mapping: dict[str, float],
-        failure: EvaluationFailure,
-        quarantined: bool,
-        duration: float = 0.0,
-    ) -> float:
-        """Account one failure outcome and serve the failure policy.
-
-        ``quarantined`` distinguishes a *skip* of an already-known poison
-        point (no simulator ran) from a fresh failure (which is recorded
-        into the cache's quarantine).  Returns the penalty value, or
-        raises :class:`~repro.core.faults.EvaluationFailed` /
-        :class:`~repro.core.faults.CircuitOpen` per policy.
-        """
-        self.failures += 1
-        reg = _REGISTRY if _REGISTRY.enabled else None
-        if reg is not None:
-            if quarantined:
-                reg.counter(
-                    "repro_eval_quarantined_total",
-                    EVAL_METRIC_HELP["repro_eval_quarantined_total"],
-                ).inc()
-            else:
-                reg.counter(
-                    "repro_eval_failures_total",
-                    EVAL_METRIC_HELP["repro_eval_failures_total"],
-                ).inc()
-                if failure.kind == "timeout":
-                    reg.counter(
-                        "repro_eval_timeouts_total",
-                        EVAL_METRIC_HELP["repro_eval_timeouts_total"],
-                    ).inc()
-        if not quarantined and self._cache is not None:
-            if self.failure_policy is not None and self.failure_policy.quarantine:
-                self._cache.mark_failed(key, mapping, failure)
-            else:
-                self._cancel(key, mapping)
-        if self._breaker is not None:
-            self._breaker.record(failure)
-        if self.failure_policy is not None and self.failure_policy.penalize:
-            finished_at = self.evaluator.elapsed
-            self._record_failed(
-                mapping, self.failure_policy.penalty,
-                max(finished_at - duration, 0.0), finished_at,
-            )
-            if self._breaker is not None:
-                self._breaker.check()
-            return self.failure_policy.penalty
-        raise EvaluationFailed(failure)
-
-    def run(self) -> CalibrationResult:
-        """Ask, evaluate concurrently and tell until a stop condition.
-
-        The run ends when the budget is exhausted or the algorithm says it
-        is done, whichever comes first.
-        """
-        rng = np.random.default_rng(self.seed)
-        algorithm = self.algorithm
-        algorithm.setup(self.space)
-        self.budget.start()
-        self.evaluator.reset_clock()
-        self.cache_hits = 0
-        self.failures = 0
-        self._breaker = (
-            self.failure_policy.breaker() if self.failure_policy is not None else None
-        )
-        history = self.evaluator.history
-
-        tracer = current_tracer()
-        root = tracer.begin(
-            "calibration", driver="batch", algorithm=algorithm.name, seed=self.seed
-        )
-        try:
-            self._drive(rng, root)
-        finally:
-            tracer.end(root)
-            self.evaluator.close()
-
-        best = history.best
-        if best is None:
-            raise RuntimeError("the budget was exhausted before a single evaluation completed")
-        return CalibrationResult(
-            algorithm=algorithm.name,
-            best_values=dict(best.values),
-            best_value=best.value,
-            evaluations=sum(1 for e in history if not e.cached),
-            elapsed=self.evaluator.elapsed,
-            history=history,
-            budget_description=self.budget.describe(),
-            seed=self.seed,
-            telemetry=_REGISTRY.snapshot() if _REGISTRY.enabled else None,
-        )
-
-    def _record_hit(self, mapping: dict[str, float], value: float) -> None:
-        at = self.evaluator.elapsed
-        history = self.evaluator.history
-        # Round-trip the unit through value space, exactly like a computed
-        # record, so replayed histories compare equal.
-        history.record(
-            Evaluation(
-                index=len(history), values=dict(mapping),
-                unit=tuple(float(u) for u in self.space.to_unit_array(mapping)),
-                value=value, started_at=at, finished_at=at, cached=True,
-            )
-        )
-
-    def _drive(self, rng: np.random.Generator, root: Span | None = None) -> None:
-        algorithm = self.algorithm
-        seen: set[CacheKey] = set()
-        budget_units = 0  # dispatched evaluations + counted first-seen hits
-        tracer = current_tracer()
-        # Instruments are looked up once per run, and only when telemetry
-        # is on: the disabled hot path costs one attribute check.
-        reg = _REGISTRY if _REGISTRY.enabled else None
-        if reg is not None:
-            m_dispatched = reg.counter(
-                "repro_driver_dispatches_total",
-                "Candidates dispatched to the worker pool.", driver="batch")
-            m_hits = reg.counter(
-                "repro_driver_cache_hits_total",
-                "Candidates answered from the cache instead of dispatched.",
-                driver="batch")
-            m_leased = reg.counter(
-                "repro_driver_leased_total",
-                "Candidates collected from a concurrent driver's lease.",
-                driver="batch")
-            m_batch = reg.histogram(
-                "repro_driver_batch_size",
-                "Candidates per ask round.",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128), driver="batch")
-
-        while not self.budget.exhausted(budget_units) and not algorithm.done():
-            candidates = algorithm.ask(rng, self.batch_size)
-            if not candidates:
-                break
-            if reg is not None:
-                m_batch.observe(len(candidates))
-            units = [self.space.clip_unit(c) for c in candidates]
-            mappings = [self.space.from_unit_array(u) for u in units]
-            # Keys are built from the *round-tripped* unit, exactly like
-            # Objective._cache_key: for non-injective parameters (integers)
-            # several asked units collapse onto one evaluated point, and
-            # they must share one cache entry and one budget charge.
-            keys = [
-                unit_cache_key(self.space.to_unit_array(m), Objective.CACHE_DECIMALS)
-                for m in mappings
-            ]
-
-            # Walk the batch in candidate order and keep the longest prefix
-            # the evaluation cap still affords, charging hits and dispatches
-            # exactly as the serial driver would — a warm run must stop at
-            # the same total as the cold run it replays.  With a cache, a
-            # candidate whose key already appeared earlier in the batch is
-            # an in-run revisit (the serial cache would serve it free): it
-            # is neither charged, claimed nor dispatched again; without a
-            # cache every copy is dispatched, again matching serial.  A
-            # successful claim makes this run responsible for the key, and
-            # every responsibility acquired here ends in put() or cancel().
-            # A *leased* key — a concurrent driver is computing it right
-            # now — is neither dispatched nor waited on yet: its value is
-            # collected after this batch's own dispatches are in flight.
-            remaining = remaining_evaluations(self.budget, budget_units)
-            hits: list[float | None] = [None] * len(candidates)
-            leased: dict[int, float | None] = {}  # index -> lease expiry
-            quarantined: dict[int, EvaluationFailure] = {}  # index -> known failure
-            take, cost = len(candidates), 0
-            first_index: dict[CacheKey, int] = {}
-            for i in range(len(candidates)):
-                if self._cache is not None and keys[i] in first_index:
-                    continue  # within-batch revisit: resolved after dispatch
-                claim = self._claim(keys[i], mappings[i])
-                if claim.status == Claim.HIT:
-                    hits[i] = claim.value
-                if (
-                    claim.status == Claim.QUARANTINED
-                    and claim.failure is not None
-                    and self.failure_policy is not None
-                ):
-                    # Known poison point: never dispatched, never waited
-                    # on — the failure policy resolves it below.  Without
-                    # a policy the claim falls through to a dispatch (the
-                    # run re-attempts the point, pre-quarantine behavior).
-                    quarantined[i] = claim.failure
-                # A dispatch costs 1, so does a leased point (a concurrent
-                # driver is doing the work this run consumes); a hit costs
-                # 1 only when it is first-seen and counting is on (serial
-                # Objective semantics).
-                first_seen = keys[i] not in seen
-                unit_cost = (
-                    1 if hits[i] is None or (self.count_cache_hits and first_seen) else 0
-                )
-                if remaining is not None and cost + unit_cost > remaining:
-                    take = i
-                    if claim.status == Claim.CLAIMED and self._cache is not None:
-                        # The claim announced this run's responsibility for
-                        # a point it will never dispatch: release it.
-                        self._cancel(keys[i], mappings[i])
-                    break
-                cost += unit_cost
-                if claim.status == Claim.LEASED:
-                    leased[i] = claim.expires_at
-                if self._cache is not None:
-                    first_index[keys[i]] = i
-
-            results: list[float | None] = list(hits[:take])
-            spans = [
-                tracer.begin("evaluation", parent=root, driver="batch")
-                for _ in range(take)
-            ]
-            for i in range(take):
-                if hits[i] is None:
-                    continue
-                self.cache_hits += 1
-                if reg is not None:
-                    m_hits.inc()
-                tracer.end(spans[i], cached=True, value=hits[i])
-                if self.count_cache_hits and keys[i] not in seen:
-                    budget_units += 1
-                seen.add(keys[i])
-                if self.record_cache_hits:
-                    self._record_hit(mappings[i], hits[i])
-            # Quarantined points resolve from the recorded failure — a
-            # budget charge like a dispatch (so an algorithm stuck on a
-            # poison point still terminates), but zero simulator time.
-            for i in sorted(quarantined):
-                if i >= take:
-                    continue
-                results[i] = self._apply_failure(
-                    keys[i], mappings[i], quarantined[i], quarantined=True
-                )
-                seen.add(keys[i])
-                budget_units += 1
-                tracer.end(spans[i], failed=True, value=results[i])
-            misses = [
-                i for i in range(take)
-                if hits[i] is None and i not in leased and i not in quarantined
-                and (self._cache is None or first_index[keys[i]] == i)
-            ]
-            try:
-                if self.failure_policy is not None:
-                    # Failure-tolerant dispatch: one poison point becomes a
-                    # penalty outcome instead of aborting its batch-mates.
-                    outcomes = self.evaluator.evaluate_batch_outcomes(
-                        [mappings[i] for i in misses]
-                    )
-                    for outcome, i in zip(outcomes, misses, strict=True):
-                        if outcome.failure is not None:
-                            results[i] = self._apply_failure(
-                                keys[i], mappings[i], outcome.failure,
-                                quarantined=False, duration=outcome.duration,
-                            )
-                            seen.add(keys[i])
-                            tracer.end(spans[i], failed=True, value=results[i])
-                            continue
-                        value = outcome.unwrap()
-                        if self._breaker is not None:
-                            self._breaker.record(None)
-                        results[i] = value
-                        seen.add(keys[i])
-                        tracer.end(spans[i], cached=False, value=value)
-                        self._store(keys[i], mappings[i], value)
-                else:
-                    values = self.evaluator.evaluate_batch(
-                        [mappings[i] for i in misses]
-                    )
-                    for value, i in zip(values, misses, strict=True):
-                        results[i] = value
-                        seen.add(keys[i])
-                        tracer.end(spans[i], cached=False, value=value)
-                        self._store(keys[i], mappings[i], value)
-            except BaseException:
-                # The pool failed mid-batch: release the in-flight
-                # leaderships this run announced, or concurrent jobs
-                # waiting on these points would block forever.  (Cancel
-                # after put/mark_failed is a no-op, so settled points of
-                # a partially-processed outcome batch are unaffected.)
-                for i in misses:
-                    self._cancel(keys[i], mappings[i])
-                raise
-            if reg is not None and misses:
-                m_dispatched.inc(len(misses))
-            budget_units += len(misses)
-            # Only now — with every dispatch of ours already done — collect
-            # the leased points.  The wait is bounded: the leader publishes
-            # or cancels, or its lease expires and this run takes the
-            # computation over, so no two drivers can deadlock each other.
-            # (every index in `leased` is < take: the cost walk breaks out
-            # *before* registering the index that exceeded the budget)
-            for i in sorted(leased):
-                results[i] = self._collect_leased(keys[i], mappings[i], leased[i])
-                seen.add(keys[i])
-                budget_units += 1
-                if reg is not None:
-                    m_leased.inc()
-                tracer.end(spans[i], leased=True, value=results[i])
-            # Within-batch revisits of a just-dispatched point are served
-            # from its result, like the serial cache would serve them.
-            for i in range(take):
-                if results[i] is None:
-                    results[i] = results[first_index[keys[i]]]
-                    self.cache_hits += 1
-                    if reg is not None:
-                        m_hits.inc()
-                    tracer.end(spans[i], cached=True, value=results[i])
-                    if self.record_cache_hits:
-                        self._record_hit(mappings[i], results[i])
-            # On a truncated final batch only the affordable prefix is told;
-            # the run is over anyway, and an untold tail would poison the
-            # algorithm's next update with missing values.
-            if take:
-                with tracer.span("tell", parent=root):
-                    algorithm.tell(
-                        list(candidates[:take]), [results[i] for i in range(take)]
-                    )
-
-
-class ParallelCalibrator:
-    """Budget-bounded parallel calibration with a space-filling sampler.
-
-    Parameters
-    ----------
-    space, objective_function:
-        As for :class:`~repro.core.calibrator.Calibrator`.
-    sampler:
-        Name of the sampling design drawn for every batch (``"uniform"``,
-        ``"lhs"``, ``"sobol"``, ``"halton"``).
-    workers, mode:
-        Concurrency settings, see :class:`ParallelEvaluator`.
-    batch_size:
-        Candidates per batch; defaults to the number of workers, which is
-        exactly the paper's "one simulation per core" protocol.
-    budget:
-        Evaluation- or time-based budget; checked between batches.
-    seed:
-        Seed for the batch sampler.
-    """
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        objective_function: ObjectiveFunction,
-        sampler: str = "lhs",
-        workers: int = 4,
-        mode: str = "process",
-        batch_size: int | None = None,
-        budget: Budget | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.space = space
-        self.sampler_name = sampler
-        self.sampler = get_sampler(sampler)
-        self.evaluator = ParallelEvaluator(objective_function, space, workers=workers, mode=mode)
-        self.batch_size = int(workers) if batch_size is None else int(batch_size)
-        if self.batch_size < 1:
-            raise ValueError("the batch size must be at least 1")
-        self.budget = budget if budget is not None else EvaluationBudget(100)
-        self.seed = seed
-
-    def run(self) -> CalibrationResult:
-        """Draw and evaluate batches until the budget is exhausted."""
-        rng = np.random.default_rng(self.seed)
-        self.budget.start()
-        self.evaluator.reset_clock()
-        history = self.evaluator.history
-
-        while not self.budget.exhausted(len(history)):
-            design = self.sampler(self.space.dimension, self.batch_size, rng)
-            batch = [self.space.from_unit_array(row) for row in design]
-            # Trim the final batch when an evaluation budget would overshoot
-            # (also when the cap hides inside a CombinedBudget).
-            remaining = remaining_evaluations(self.budget, len(history))
-            if remaining is not None:
-                batch = batch[:remaining]
-            if not batch:
-                break
-            self.evaluator.evaluate_batch(batch)
-
-        best = history.best
-        if best is None:
-            raise RuntimeError("the budget was exhausted before a single evaluation completed")
-        return CalibrationResult(
-            algorithm=f"parallel-{self.sampler_name}",
-            best_values=dict(best.values),
-            best_value=best.value,
-            evaluations=len(history),
-            elapsed=self.evaluator.elapsed,
-            history=history,
-            budget_description=self.budget.describe(),
-            seed=self.seed,
-        )

@@ -21,10 +21,10 @@ import dataclasses
 import hashlib
 from collections.abc import Callable, Mapping, Sequence
 
+from repro.core.async_driver import AsyncCalibrator
 from repro.core.budget import Budget, EvaluationBudget
 from repro.core.calibrator import Calibrator
 from repro.core.faults import FailurePolicy, RetryPolicy
-from repro.core.parallel import BatchCalibrator
 from repro.core.metrics import MetricFunction, get_metric
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.result import CalibrationResult
@@ -130,7 +130,7 @@ class CaseStudyObjective:
     computed over the (node, ICD) average-job-time metrics — the paper's
     33-metric MRE when the scenario uses the full ICD grid.  Being a plain
     class (rather than a closure) it can be shipped to worker processes by
-    :class:`repro.core.parallel.ParallelCalibrator`, matching the paper's
+    :class:`repro.core.async_driver.AsyncCalibrator`, matching the paper's
     one-simulation-per-core protocol.
     """
 
@@ -246,7 +246,6 @@ class CaseStudyProblem:
         workers: int = 1,
         mode: str = "process",
         algorithm_options: dict[str, object] | None = None,
-        asynchronous: bool = False,
         max_pending: int | None = None,
         cache: object | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -256,14 +255,14 @@ class CaseStudyProblem:
         """Run one automated calibration and return its result.
 
         With ``workers > 1`` the run goes through
-        :class:`~repro.core.parallel.BatchCalibrator`: the algorithm's
-        ask batches are evaluated concurrently (one simulation per core,
-        as in the paper's protocol — the objective is picklable, so the
-        default process pool works).  With ``asynchronous=True`` it goes
-        through :class:`~repro.core.async_driver.AsyncCalibrator`
-        instead: results are told out of order as simulations complete,
-        so the pool never waits for a batch's slowest member
-        (``max_pending`` bounds the in-flight work; default ``workers``).
+        :class:`~repro.core.async_driver.AsyncCalibrator`: simulations
+        run concurrently (one per core, as in the paper's protocol — the
+        objective is picklable, so the default process pool works) and
+        results are told as they complete, so the pool never waits for a
+        slow batch-mate (``max_pending`` bounds the in-flight work;
+        default ``workers``).  Ordered algorithms and design samplers
+        reproduce the serial history exactly; TPE is adaptive and
+        async-native, so its trajectory follows completion order.
         ``algorithm_options`` are forwarded to the algorithm's
         constructor.
 
@@ -297,9 +296,7 @@ class CaseStudyProblem:
             fault_kwargs["failure_policy"] = failure_policy
         if eval_timeout is not None:
             fault_kwargs["eval_timeout"] = eval_timeout
-        if asynchronous:
-            from repro.core.async_driver import AsyncCalibrator
-
+        if workers > 1:
             return AsyncCalibrator(
                 self.space,
                 self.objective,
@@ -310,19 +307,11 @@ class CaseStudyProblem:
                 mode=mode,
                 max_pending=max_pending,
                 algorithm_options=algorithm_options,
-                **cache_kwargs,
-                **fault_kwargs,
-            ).run()
-        if workers > 1:
-            return BatchCalibrator(
-                self.space,
-                self.objective,
-                algorithm=algorithm,
-                budget=budget,
-                seed=seed,
-                workers=workers,
-                mode=mode,
-                algorithm_options=algorithm_options,
+                # Design samplers propose independently of their results,
+                # so buffering tells into ask order costs no pool time and
+                # keeps the serial history; TPE adapts to whatever has
+                # completed and takes results as they arrive.
+                ordered_tells=None if algorithm == "tpe" else True,
                 **cache_kwargs,
                 **fault_kwargs,
             ).run()

@@ -12,7 +12,7 @@ calibration traffic:
   that plugs the store into any calibrator, with single-flight
   deduplication of identical in-flight evaluations through the store's
   non-blocking claim/lease protocol (serial drivers wait for the
-  leader's result; batch/async drivers defer the point and keep their
+  leader's result; the async driver defers the point and keeps its
   workers busy);
 * :mod:`repro.service.jobs` / :mod:`repro.service.server` — submitted
   :class:`CalibrationRequest` objects scheduled over a bounded worker

@@ -3,9 +3,8 @@
 
 :class:`StoreBackedCache` implements the
 :class:`~repro.core.evaluation.CacheBackend` interface on top of a shared
-store, bound to one scenario fingerprint, so it slots into any
-:class:`~repro.core.calibrator.Calibrator`,
-:class:`~repro.core.parallel.BatchCalibrator` or
+store, bound to one scenario fingerprint, so it slots into a
+:class:`~repro.core.calibrator.Calibrator` or an
 :class:`~repro.core.async_driver.AsyncCalibrator` without touching
 algorithm code.
 
@@ -16,11 +15,11 @@ concurrent jobs — threads of one server, or separate processes over a
 SQLite store — reach the same not-yet-stored point, exactly one claims it
 and computes; the others see a *lease* and either wait for the published
 result (the serial :meth:`get` path) or keep dispatching other work and
-poll the point later (the batch/async :meth:`claim`/:meth:`poll` path).
+poll the point later (the async :meth:`claim`/:meth:`poll` path).
 Leases expire, so a leader that dies without publishing or cancelling can
 only stall its points for the lease TTL before another driver takes the
 computation over — there is no hold-and-wait and therefore no deadlock,
-which is what allows batch drivers holding many candidates in flight to
+which is what allows drivers holding many candidates in flight to
 share a deduplicating cache (the previous design had to forbid that
 combination outright).
 """
@@ -64,7 +63,7 @@ class StoreBackedCache(JobCache):
         single-flight protocol: one owner computes each point, the others
         reuse its result.  The serial :meth:`get` path waits (bounded by
         the lease TTL) for a leased point; the :meth:`claim` path used by
-        batch/async drivers never waits — it reports the lease and lets
+        the async driver never waits — it reports the lease and lets
         the driver keep its workers busy elsewhere.  When false the cache
         degrades to plain store memoisation (no leases, concurrent
         identical points may be computed twice).
@@ -162,7 +161,7 @@ class StoreBackedCache(JobCache):
         self._notify()
 
     # ------------------------------------------------------------------ #
-    # CacheBackend interface: non-blocking batch/async path
+    # CacheBackend interface: non-blocking async path
     # ------------------------------------------------------------------ #
     def claim(self, key, values: Mapping[str, float]) -> Claim:
         """Non-blocking single-flight claim (see :class:`Claim`)."""

@@ -39,9 +39,9 @@ class StoreReadCache(JobCache):
     ``claim`` answers ``hit`` for stored points and hands everything else
     to the caller as ``claimed`` — in-flight deduplication happens on the
     task board (in-process) and through the workers' store leases
-    (cross-process), not here.  ``put`` is an idempotent re-publish: the
-    worker that computed the point already stored it, so the driver's put
-    merely overwrites an equal entry.
+    (cross-process), not here.  ``put`` persists only what the store
+    lacks: the worker that computed a point stores it before publishing,
+    so the driver's put usually finds it there and skips the commit.
     """
 
     def __init__(self, store: EvaluationStore, fingerprint: str) -> None:
@@ -56,7 +56,9 @@ class StoreReadCache(JobCache):
         return value
 
     def put(self, key: CacheKey, values: Mapping[str, float], value: float) -> None:
-        self.store.put(self.fingerprint, values, value)
+        # A peek is far cheaper than a commit on the SQLite backend.
+        if self.store.peek(self.fingerprint, values) is None:
+            self.store.put(self.fingerprint, values, value)
 
     def cancel(self, key: CacheKey, values: Mapping[str, float]) -> None:
         """Nothing to release: this cache took no lease."""

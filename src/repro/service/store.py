@@ -33,7 +33,7 @@ or :meth:`~EvaluationStore.release`), or reports that another owner holds
 an unexpired lease (``leased`` — the caller polls for the published value
 instead of recomputing).  Leases expire after a TTL so a crashed owner
 can never stall other drivers; the whole protocol is non-blocking, which
-is what lets batch and asynchronous drivers — holding many candidates in
+is what lets the asynchronous driver — holding many candidates in
 flight at once — deduplicate work across jobs and across processes
 without the hold-and-wait deadlocks of a blocking single-flight design.
 Lease state is kept in memory for :class:`InMemoryStore` and

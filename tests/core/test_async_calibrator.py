@@ -122,7 +122,8 @@ class TestOutOfOrderTellsAtProtocolLevel:
 
 
 class TestAdapterByteForByteParity:
-    @pytest.mark.parametrize("name", ["cmaes", "de", "nelder-mead", "grid"])
+    @pytest.mark.parametrize("name", ["cmaes", "de", "nelder-mead", "grid", "coordinate",
+                                      "pattern", "gdfix", "gddyn", "annealing", "bayesian"])
     def test_seeded_async_run_matches_serial_trajectory(self, name):
         """The buffering adapter restores ask order, so ordered algorithms
         reproduce the serial trajectory byte for byte under genuinely
@@ -149,6 +150,20 @@ class TestAdapterByteForByteParity:
         forced = AsyncCalibrator(
             space, shuffling(space), algorithm="lhs",
             budget=EvaluationBudget(48), seed=3, workers=4, mode="thread",
+            ordered_tells=True,
+        ).run()
+        assert points(forced) == points(serial)
+
+    @pytest.mark.parametrize("name", ["random", "sobol"])
+    def test_forced_adapter_on_other_native_samplers_matches_serial(self, name):
+        space = make_space(3)
+        serial = Calibrator(
+            space, quadratic(space), algorithm=name,
+            budget=EvaluationBudget(40), seed=7,
+        ).run()
+        forced = AsyncCalibrator(
+            space, shuffling(space), algorithm=name,
+            budget=EvaluationBudget(40), seed=7, workers=4, mode="thread",
             ordered_tells=True,
         ).run()
         assert points(forced) == points(serial)
@@ -221,6 +236,64 @@ class TestDriverMechanics:
             budget=budget, seed=0,
         ).run()
         assert result.evaluations == 10
+
+    def test_nested_combined_budget_does_not_overshoot(self):
+        space = make_space(2)
+        inner = CombinedBudget([TimeBudget(3600.0), EvaluationBudget(12)])
+        budget = CombinedBudget([inner, EvaluationBudget(9)])
+        result = AsyncCalibrator(
+            space, quadratic(space), algorithm="lhs", workers=4, mode="thread",
+            budget=budget, seed=0,
+        ).run()
+        assert result.evaluations == 9
+
+    def test_legacy_run_only_algorithm_is_rejected(self):
+        from repro.core.algorithms import CalibrationAlgorithm
+
+        class Legacy(CalibrationAlgorithm):
+            name = "legacy"
+
+            def run(self, objective, space, rng):  # pragma: no cover - stub
+                pass
+
+        space = make_space(2)
+        with pytest.raises(ValueError, match="legacy"):
+            AsyncCalibrator(space, quadratic(space), algorithm=Legacy())
+
+    def test_synchronous_de_runs_whole_generations(self):
+        """synchronous=True asks whole generations after the init batch;
+        the adapter tells each generation in ask order."""
+        space = make_space(2)
+        result = AsyncCalibrator(
+            space, quadratic(space), algorithm="de", workers=4, mode="thread",
+            algorithm_options={"population_size": 8, "synchronous": True},
+            budget=EvaluationBudget(32), seed=4,
+        ).run()
+        assert result.evaluations == 32
+        assert result.best_value < 25.0
+
+    def test_thread_mode_actually_runs_concurrently(self):
+        space = make_space(2)
+        active = {"now": 0, "max": 0}
+        lock = threading.Lock()
+        overlapped = threading.Event()
+
+        def objective(values):
+            with lock:
+                active["now"] += 1
+                active["max"] = max(active["max"], active["now"])
+                if active["now"] >= 2:
+                    overlapped.set()
+            overlapped.wait(timeout=5.0)
+            with lock:
+                active["now"] -= 1
+            return float(np.sum(space.to_unit_array(values)))
+
+        AsyncCalibrator(
+            space, objective, algorithm="lhs", workers=4, mode="thread",
+            algorithm_options={"batch_size": 8}, budget=EvaluationBudget(8), seed=0,
+        ).run()
+        assert active["max"] >= 2
 
     def test_max_pending_bounds_in_flight_work(self):
         space = make_space(2)
@@ -342,6 +415,151 @@ class TestDriverMechanics:
         ).run()
         assert calls["n"] == 6
         assert result.evaluations == 6
+
+    def test_ordered_algorithm_is_told_every_duplicate(self):
+        """Under the ordered adapter, a duplicate of an in-flight point
+        costs no dispatch and no budget, but the algorithm is still told
+        a value for it — the serial cache semantics."""
+        from repro.core.algorithms import CalibrationAlgorithm
+
+        class Duplicating(CalibrationAlgorithm):
+            name = "duplicating-ordered"
+
+            def _setup(self):
+                self._gen = 0
+
+            def _generate(self, rng, n):
+                if self._gen >= 100:
+                    return None
+                self._gen += 1
+                point = np.full(2, 0.01 * self._gen)
+                return [point, point.copy(), np.full(2, 0.5 + 0.001 * self._gen)]
+
+        space = make_space(2)
+        calls = {"n": 0}
+        lock = threading.Lock()
+
+        def counting(values):
+            with lock:
+                calls["n"] += 1
+            time.sleep(0.002)
+            return float(np.sum(space.to_unit_array(values)))
+
+        told = []
+        algorithm = Duplicating()
+        original_tell = algorithm.tell
+        algorithm.tell = lambda cands, vals: (told.extend(vals), original_tell(cands, vals))
+        result = AsyncCalibrator(
+            space, counting, algorithm=algorithm, workers=4, mode="thread",
+            budget=EvaluationBudget(6), seed=0,
+        ).run()
+        # 3 generations of 3 candidates, 2 unique each: 6 dispatches, and
+        # every candidate (duplicates included) was told a value.
+        assert calls["n"] == 6
+        assert result.evaluations == 6
+        assert len(told) == 9
+
+
+class TestCacheAccounting:
+    def test_warm_run_stops_at_the_exact_budget_mid_ask(self):
+        """Counted cache hits respect the evaluation cap candidate by
+        candidate: a store warmer than the budget, with the cap falling
+        inside one LHS generation, stops at exactly the serial total."""
+        from repro.core import DictCache
+
+        space = make_space(2)
+        shared = DictCache()
+        AsyncCalibrator(
+            space, quadratic(space), algorithm="lhs", workers=1, mode="serial",
+            budget=EvaluationBudget(32), seed=9, cache=shared,
+        ).run()
+        warm = AsyncCalibrator(
+            space, quadratic(space), algorithm="lhs", workers=4, mode="thread",
+            budget=EvaluationBudget(10), seed=9, cache=shared,
+            record_cache_hits=True, count_cache_hits=True,
+        ).run()
+        assert len(warm.history) == 10  # not the whole 32-point generation
+        serial = Calibrator(
+            space, quadratic(space), algorithm="lhs",
+            budget=EvaluationBudget(10), seed=9, cache=shared,
+            record_cache_hits=True, count_cache_hits=True,
+        ).run()
+        assert [e.unit for e in warm.history] == [e.unit for e in serial.history]
+
+    def test_integer_parameters_share_one_cache_entry_and_charge(self):
+        """Keys are built from the round-tripped unit (Objective's
+        canonicalization): two asked units collapsing onto one integer
+        point cost one dispatch and one budget unit, as in serial."""
+        from repro.core.algorithms import CalibrationAlgorithm
+
+        class TwoUnits(CalibrationAlgorithm):
+            name = "two-units"
+
+            def _setup(self):
+                self._gen = 0
+
+            def _generate(self, rng, n):
+                self._gen += 1
+                offset = 0.1 * self._gen
+                # Both land on the same integer after from_unit_array.
+                return [np.array([offset + 0.0001]), np.array([offset + 0.0002])]
+
+        space = ParameterSpace([Parameter("n", 2, 64, scale="linear", integer=True)])
+        calls = {"n": 0}
+        lock = threading.Lock()
+
+        def counting(values):
+            with lock:
+                calls["n"] += 1
+            return float(values["n"])
+
+        result = AsyncCalibrator(
+            space, counting, algorithm=TwoUnits(), workers=2, mode="thread",
+            budget=EvaluationBudget(3), seed=0,
+        ).run()
+        assert calls["n"] == 3
+        assert result.evaluations == 3
+
+    def test_cold_in_memory_cache_matches_no_cache(self):
+        space = make_space(2)
+
+        def run(cache):
+            return AsyncCalibrator(
+                space, quadratic(space), algorithm="random", workers=2, mode="serial",
+                budget=EvaluationBudget(15), seed=1, cache=cache,
+            ).run()
+
+        with_cache, without = run(True), run(False)
+        # Random tells natively, so only the record order may differ.
+        assert sorted(points(with_cache)) == sorted(points(without))
+        assert with_cache.evaluations == without.evaluations == 15
+
+    def test_store_backed_cache_without_dedupe_shares_work(self):
+        """The plain store binding (dedupe_in_flight=False) shares
+        evaluations between a parallel run and later runs on the store."""
+        from repro.service import InMemoryStore, StoreBackedCache
+
+        space = make_space(2)
+        store = InMemoryStore()
+        calls = {"n": 0}
+        lock = threading.Lock()
+
+        def counting(values):
+            with lock:
+                calls["n"] += 1
+            return float(np.sum((space.to_unit_array(values) - 0.37) ** 2))
+
+        def run_once():
+            return AsyncCalibrator(
+                space, counting, algorithm="lhs", workers=2, mode="thread",
+                budget=EvaluationBudget(12), seed=6,
+                cache=StoreBackedCache(store, "fp-shared", dedupe_in_flight=False),
+                record_cache_hits=True, count_cache_hits=True,
+            ).run()
+
+        cold, warm = run_once(), run_once()
+        assert calls["n"] == 12  # the second run re-paid for nothing
+        assert warm.best_value == cold.best_value
 
 
 class TestClaimLeaseAcrossDrivers:

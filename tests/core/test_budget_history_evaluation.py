@@ -4,7 +4,12 @@ import time
 
 import pytest
 
-from repro.core.budget import CombinedBudget, EvaluationBudget, TimeBudget
+from repro.core.budget import (
+    CombinedBudget,
+    EvaluationBudget,
+    TimeBudget,
+    remaining_evaluations,
+)
 from repro.core.evaluation import BudgetExhausted, Objective
 from repro.core.history import CalibrationHistory, Evaluation
 from repro.core.parameters import Parameter, ParameterSpace
@@ -46,6 +51,20 @@ class TestBudgets:
         assert "and" in budget.describe()
         with pytest.raises(ValueError):
             CombinedBudget([])
+
+
+class TestRemainingEvaluations:
+    def test_plain_budgets(self):
+        assert remaining_evaluations(EvaluationBudget(10), 4) == 6
+        assert remaining_evaluations(EvaluationBudget(10), 12) == 0
+        assert remaining_evaluations(TimeBudget(5.0), 4) is None
+
+    def test_combined_budget_recurses(self):
+        combined = CombinedBudget([TimeBudget(100.0), EvaluationBudget(7)])
+        assert remaining_evaluations(combined, 3) == 4
+        nested = CombinedBudget([combined, EvaluationBudget(5)])
+        assert remaining_evaluations(nested, 3) == 2
+        assert remaining_evaluations(CombinedBudget([TimeBudget(1.0)]), 3) is None
 
 
 class TestHistory:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import (
     AsyncCalibrator,
-    BatchCalibrator,
     Calibrator,
     CircuitBreaker,
     CircuitOpen,
@@ -21,7 +20,6 @@ from repro.core import (
     EvaluationBudget,
     EvaluationFailed,
     EvaluationFailure,
-    EvaluationOutcome,
     EvaluationTimeout,
     FailurePolicy,
     Parameter,
@@ -180,14 +178,6 @@ class TestTimeouts:
 
 
 class TestOutcomeTypes:
-    def test_outcome_success_and_failure(self):
-        ok = EvaluationOutcome.success(2.5, duration=0.1, retries=1)
-        assert ok.ok and ok.unwrap() == 2.5
-        failed = EvaluationOutcome.failed(EvaluationFailure("boom", attempts=2))
-        assert not failed.ok
-        with pytest.raises(EvaluationFailed):
-            failed.unwrap()
-
     def test_evaluation_failed_pickles(self):
         error = EvaluationFailed(EvaluationFailure("boom", kind="transient", attempts=3))
         clone = pickle.loads(pickle.dumps(error))
@@ -375,24 +365,6 @@ class TestDriverFailurePaths:
         failed = [e for e in result.history if e.failed]
         assert failed  # seed 3 visits the poison region
         assert all(e.value == 1e6 for e in failed)
-        assert result.best_value < 1e6
-
-    def test_batch_calibrator_completes_past_failures(self):
-        space = make_space(2)
-        base = quadratic(space)
-
-        def sometimes_broken(values):
-            if space.to_unit_array(values)[0] > 0.8:
-                raise ValueError("poison region")
-            return base(values)
-
-        result = BatchCalibrator(
-            space, sometimes_broken, algorithm="random", workers=4, mode="thread",
-            budget=EvaluationBudget(30), seed=3,
-            failure_policy=FailurePolicy(penalty=1e6),
-        ).run()
-        assert result.evaluations == 30
-        assert any(e.failed for e in result.history)
         assert result.best_value < 1e6
 
     def test_async_calibrator_completes_past_failures(self):

@@ -6,6 +6,11 @@ algorithm must respect the budget, make progress on a smooth convex
 objective with a known optimum, and be deterministic for a fixed seed.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,3 +181,22 @@ class TestSobolCoverage:
         assert len(set(seen)) == 64
         for point in seen:
             assert all(0.0 <= c <= 1.0 for c in point)
+
+
+class TestImportCost:
+    def test_package_imports_leave_scipy_stats_unloaded(self):
+        """scipy.stats costs about a second to import; only a Sobol run
+        (or a Bayesian acquisition step) may pay for it."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro.core, repro.hepsim, repro.service; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert completed.stdout.strip() == "False"
+

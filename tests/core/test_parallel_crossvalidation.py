@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AsyncCalibrator,
     EvaluationBudget,
     Fold,
-    ParallelCalibrator,
     ParallelEvaluator,
     Parameter,
     ParameterSpace,
@@ -35,84 +35,52 @@ class _QuadraticObjective:
 
 
 class TestParallelEvaluator:
-    def test_serial_batch_records_every_candidate(self):
+    def test_serial_submit_returns_a_completed_future(self):
         space = make_space()
-        evaluator = ParallelEvaluator(_QuadraticObjective(space), space, workers=2, mode="serial")
-        batch = [space.from_unit_array([0.1, 0.1]), space.from_unit_array([0.9, 0.9])]
-        values = evaluator.evaluate_batch(batch)
-        assert len(values) == 2
-        assert len(evaluator.history) == 2
-        assert values[0] < values[1]  # closer to the optimum
+        evaluator = ParallelEvaluator(_QuadraticObjective(space), workers=2, mode="serial")
+        near = evaluator.submit(space.from_unit_array([0.3, 0.3]))
+        far = evaluator.submit(space.from_unit_array([0.9, 0.9]))
+        assert near.done() and far.done()
+        assert near.result()[0] < far.result()[0]  # closer to the optimum
 
     def test_thread_and_serial_agree(self):
         space = make_space()
         objective = _QuadraticObjective(space)
         batch = [space.from_unit_array([x, x]) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        serial = ParallelEvaluator(objective, space, workers=1, mode="serial").evaluate_batch(batch)
-        threaded = ParallelEvaluator(objective, space, workers=3, mode="thread").evaluate_batch(batch)
-        assert serial == pytest.approx(threaded)
 
-    def test_empty_batch_is_a_noop(self):
-        space = make_space()
-        evaluator = ParallelEvaluator(_QuadraticObjective(space), space, mode="serial")
-        assert evaluator.evaluate_batch([]) == []
-        assert len(evaluator.history) == 0
+        def values(evaluator):
+            futures = [evaluator.submit(point) for point in batch]
+            return [future.result()[0] for future in futures]
+
+        serial = values(ParallelEvaluator(objective, workers=1, mode="serial"))
+        with ParallelEvaluator(objective, workers=3, mode="thread") as threaded:
+            assert values(threaded) == pytest.approx(serial)
 
     def test_invalid_configuration(self):
         space = make_space()
         with pytest.raises(ValueError):
-            ParallelEvaluator(_QuadraticObjective(space), space, workers=0)
+            ParallelEvaluator(_QuadraticObjective(space), workers=0)
         with pytest.raises(ValueError):
-            ParallelEvaluator(_QuadraticObjective(space), space, mode="gpu")
+            ParallelEvaluator(_QuadraticObjective(space), mode="gpu")
 
 
-class TestParallelCalibrator:
-    def test_respects_evaluation_budget_exactly(self):
-        space = make_space()
-        calibrator = ParallelCalibrator(
-            space, _QuadraticObjective(space), sampler="lhs", workers=3,
-            mode="serial", batch_size=4, budget=EvaluationBudget(10), seed=1,
-        )
-        result = calibrator.run()
-        assert result.evaluations == 10
-        assert result.algorithm == "parallel-lhs"
-
+class TestParallelDesignCalibration:
     def test_time_budget_stops_the_run(self):
         space = make_space()
-        calibrator = ParallelCalibrator(
-            space, _QuadraticObjective(space), sampler="uniform", workers=2,
-            mode="serial", batch_size=8, budget=TimeBudget(0.2), seed=1,
-        )
-        result = calibrator.run()
-        assert result.evaluations >= 8  # at least one batch completed
+        result = AsyncCalibrator(
+            space, _QuadraticObjective(space), algorithm="random", workers=2,
+            mode="serial", budget=TimeBudget(0.2), seed=1,
+        ).run()
+        assert result.evaluations >= 1
 
     def test_process_mode_with_picklable_objective(self):
         space = make_space()
-        calibrator = ParallelCalibrator(
-            space, _QuadraticObjective(space), sampler="sobol", workers=2,
-            mode="process", batch_size=4, budget=EvaluationBudget(8), seed=2,
-        )
-        result = calibrator.run()
+        result = AsyncCalibrator(
+            space, _QuadraticObjective(space), algorithm="sobol", workers=2,
+            mode="process", budget=EvaluationBudget(8), seed=2,
+        ).run()
         assert result.evaluations == 8
         assert result.best_value < 50.0
-
-    def test_same_seed_reproduces_candidates(self):
-        space = make_space()
-
-        def run(seed):
-            calibrator = ParallelCalibrator(
-                space, _QuadraticObjective(space), sampler="lhs", workers=1,
-                mode="serial", batch_size=5, budget=EvaluationBudget(10), seed=seed,
-            )
-            return [round(e.value, 10) for e in calibrator.run().history]
-
-        assert run(5) == run(5)
-        assert run(5) != run(6)
-
-    def test_invalid_batch_size(self):
-        space = make_space()
-        with pytest.raises(ValueError):
-            ParallelCalibrator(space, _QuadraticObjective(space), batch_size=0, workers=1)
 
 
 class TestSplits:

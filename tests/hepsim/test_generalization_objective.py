@@ -55,6 +55,23 @@ class TestCaseStudyObjective:
         assert objective.metric_name == "rmse"
 
 
+class TestParallelCalibrationParity:
+    @pytest.mark.parametrize("algorithm", ["gdfix", "cmaes", "lhs", "sobol", "random", "grid"])
+    def test_three_workers_reproduce_the_serial_history(self, tiny_problem, algorithm):
+        """``calibrate(workers=3)`` runs the asynchronous driver; ordered
+        algorithms and design samplers still visit the serial trajectory
+        (as units and values), whatever order the simulations finish in."""
+
+        def history(workers):
+            result = tiny_problem.calibrate(
+                algorithm=algorithm, budget=EvaluationBudget(12), seed=4,
+                workers=workers, mode="thread",
+            )
+            return [(e.unit, e.value) for e in result.history]
+
+        assert history(3) == history(1)
+
+
 class TestWithComputeDataRatio:
     def test_scales_only_the_flops_per_byte(self):
         base = Scenario.tiny("FCSN")

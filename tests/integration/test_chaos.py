@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core import (
     AsyncCalibrator,
-    BatchCalibrator,
     Calibrator,
     EvaluationBudget,
     FailurePolicy,
@@ -81,13 +80,13 @@ def chaos_objective(fail_attempts=1):
 
 
 def clean_run():
-    return BatchCalibrator(
+    return AsyncCalibrator(
         SPACE, base_objective, algorithm="random", workers=4, mode="serial",
         budget=EvaluationBudget(BUDGET), seed=SEED,
     ).run()
 
 
-class TestBatchChaos:
+class TestAsyncChaos:
     def test_completes_with_the_clean_best_and_records_the_hang(self):
         clean = clean_run()
         faulty = chaos_objective()
@@ -96,7 +95,7 @@ class TestBatchChaos:
         assert len(hanging) == 1 and len(failing) == 5  # the chosen layout
 
         store = InMemoryStore()
-        calibrator = BatchCalibrator(
+        calibrator = AsyncCalibrator(
             SPACE, faulty, algorithm="random", workers=4, mode="process",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),
@@ -107,6 +106,11 @@ class TestBatchChaos:
         # Same budget, same best as the clean run: transient failures
         # recovered on retry, only the hung point became a penalty.
         assert result.evaluations == BUDGET
+        # Random is async-native: the asked point set is the rng's alone,
+        # so it matches the clean trajectory regardless of completion order.
+        assert sorted(e.unit for e in result.history) == sorted(
+            e.unit for e in clean.history
+        )
         assert result.best_value == clean.best_value
         assert result.best_values == clean.best_values
         failed = [e for e in result.history if e.failed]
@@ -126,7 +130,7 @@ class TestBatchChaos:
         clean = clean_run()
         faulty = chaos_objective(fail_attempts=10)  # never recovers in 2 attempts
         store = InMemoryStore()
-        calibrator = BatchCalibrator(
+        calibrator = AsyncCalibrator(
             SPACE, faulty, algorithm="random", workers=4, mode="process",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),
@@ -139,34 +143,12 @@ class TestBatchChaos:
         assert store.failure_count() == 6
 
 
-class TestAsyncChaos:
-    def test_completes_with_the_clean_best(self):
-        clean = clean_run()
-        store = InMemoryStore()
-        calibrator = AsyncCalibrator(
-            SPACE, chaos_objective(), algorithm="random", workers=4, mode="process",
-            budget=EvaluationBudget(BUDGET), seed=SEED,
-            cache=StoreBackedCache(store, "chaos"),
-            retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT,
-        )
-        result = run_without_wedging(calibrator)
-        assert result.evaluations == BUDGET
-        # Random is async-native: the asked point set is the rng's alone,
-        # so it matches the clean trajectory regardless of completion order.
-        assert sorted(e.unit for e in result.history) == sorted(
-            e.unit for e in clean.history
-        )
-        assert result.best_value == clean.best_value
-        assert result.best_values == clean.best_values
-        assert store.failure_count() == 1
-
-
 class TestQuarantineAcrossJobs:
     def test_second_job_skips_the_poison_point_without_hanging(self):
         """A job sharing the store never re-evaluates (or waits on) the
         hung point a previous job diagnosed: it replays warm and fast."""
         store = InMemoryStore()
-        first = BatchCalibrator(
+        first = AsyncCalibrator(
             SPACE, chaos_objective(), algorithm="random", workers=4, mode="process",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),

@@ -120,6 +120,15 @@ class TestStoreReadCache:
         assert cache.poll(("fp", "k"), {"x": 2.0}) == 4.5
         cache.cancel(("fp", "k"), {"x": 2.0})  # must be a harmless no-op
 
+    def test_put_skips_the_commit_for_an_already_stored_point(self, monkeypatch):
+        store = InMemoryStore()
+        store.put("fp", {"x": 2.0}, 4.5)
+        cache = StoreReadCache(store, "fp")
+        puts = []
+        monkeypatch.setattr(store, "put", lambda *args: puts.append(args))
+        cache.put(("fp", "k"), {"x": 2.0}, 4.5)
+        assert puts == []
+
 
 class TestFleetEvaluator:
     def test_submit_posts_and_close_withdraws(self):

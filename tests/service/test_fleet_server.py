@@ -132,6 +132,26 @@ class TestFleetCalibration:
         assert warm.cache_hits == 20 and warm.evaluations == 0
         assert warm.result.best_value == cold.result.best_value
 
+    def test_a_job_of_n_points_makes_exactly_n_store_puts(self, fleet, monkeypatch):
+        """The worker stores each result before publishing it; the job's
+        cache must not commit the same entry a second time."""
+        store, server, frontend, client = fleet
+        puts = []
+        original = store.put
+
+        def counting_put(fingerprint, values, value):
+            puts.append(dict(values))
+            return original(fingerprint, values, value)
+
+        monkeypatch.setattr(store, "put", counting_put)
+        _, thread = run_worker_thread(client, store)
+        job = server.submit(make_request(make_space()))
+        assert job.wait(60)
+        thread.join(timeout=30)
+        assert job.status is JobStatus.DONE
+        assert len(puts) == 20
+        assert len(store) == 20
+
     def test_worker_failure_fails_the_job_loudly(self, fleet):
         store, server, frontend, client = fleet
         space = make_space()

@@ -155,10 +155,10 @@ class TestThreadSafety:
 
 
 class TestConcurrentDrivers:
-    def test_two_batch_calibrators_share_the_registry_safely(self):
-        """Two lock-step drivers in threads record into the process-wide
+    def test_two_async_calibrators_share_the_registry_safely(self):
+        """Two drivers in threads record into the process-wide
         registry at once; dispatch counters must add up exactly."""
-        from repro.core import BatchCalibrator, EvaluationBudget
+        from repro.core import AsyncCalibrator, EvaluationBudget
         from repro.core.parameters import Parameter, ParameterSpace
         from repro.telemetry.metrics import registry
 
@@ -170,7 +170,7 @@ class TestConcurrentDrivers:
             results = []
 
             def run(seed):
-                result = BatchCalibrator(
+                result = AsyncCalibrator(
                     space, lambda v: v["x"], algorithm="random",
                     budget=EvaluationBudget(12), seed=seed,
                     workers=2, mode="serial", cache=False,
@@ -183,7 +183,7 @@ class TestConcurrentDrivers:
             for t in threads:
                 t.join()
             assert len(results) == 2
-            dispatched = reg.counter("repro_driver_dispatches_total", driver="batch")
+            dispatched = reg.counter("repro_driver_dispatches_total", driver="async")
             assert dispatched.value == 24.0
         finally:
             reg.disable()

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.core import AsyncCalibrator, BatchCalibrator, EvaluationBudget
+from repro.core import AsyncCalibrator, EvaluationBudget
 from repro.core.parameters import Parameter, ParameterSpace
 
 SLEEP_FAST = 0.02
@@ -48,24 +48,13 @@ def _assert_per_point_durations(history):
         assert evaluation.finished_at >= evaluation.started_at
 
 
-class TestBatchDriverTiming:
+class TestAsyncDriverTiming:
     @pytest.mark.parametrize("mode", ["thread", "serial"])
     def test_history_records_per_point_wall_clock(self, mode):
-        result = BatchCalibrator(
-            _space(), objective, algorithm="random",
-            budget=EvaluationBudget(12), seed=5,
-            workers=4, mode=mode, cache=False,
-        ).run()
-        assert result.evaluations == 12
-        _assert_per_point_durations(result.history)
-
-
-class TestAsyncDriverTiming:
-    def test_history_records_per_point_wall_clock(self):
         result = AsyncCalibrator(
             _space(), objective, algorithm="random",
             budget=EvaluationBudget(12), seed=5,
-            workers=4, mode="thread", cache=False,
+            workers=4, mode=mode, cache=False,
         ).run()
         assert result.evaluations == 12
         _assert_per_point_durations(result.history)
